@@ -273,13 +273,11 @@ func complexTermsChain(n int) string {
 
 // BenchmarkFixpointKernels is the acceptance suite for the compiled
 // positional join kernels: the same fixpoint workloads run through the
-// generic substitution-based interpreter (WithCompiledKernels(false)),
-// the tuple-at-a-time register-frame kernels (batch size 1 — the PR3
-// executor, kept under the name "compiled" so the BENCH_PR3.json
-// baselines stay comparable), and the vectorized block-at-a-time
-// executor (default). The headline numbers — allocs/op on transitive
-// closure, wall-clock on same-generation and on structured-term path
-// construction — are recorded in BENCH_PR7.json.
+// generic substitution-based interpreter (WithCompiledKernels(false))
+// and the compiled block-at-a-time executor (default). The headline
+// numbers — allocs/op on transitive closure, wall-clock on
+// same-generation and on structured-term path construction — are
+// recorded in BENCH_PR7.json.
 func BenchmarkFixpointKernels(b *testing.B) {
 	sgSpec := workload.SameGenSpec{Depth: 8, Fanout: 2}
 	workloads := []struct {
@@ -296,7 +294,6 @@ func BenchmarkFixpointKernels(b *testing.B) {
 		opts []ldl.Option
 	}{
 		{"generic", []ldl.Option{ldl.WithCompiledKernels(false)}},
-		{"compiled", []ldl.Option{ldl.WithBatchSize(1)}},
 		{"batched", nil},
 	}
 	for _, w := range workloads {
@@ -383,9 +380,9 @@ func tcGrove(chains, n int) string {
 // edges, ≈1.05M derived tc tuples), then per iteration one
 // InsertFacts batch of 10 fresh edges followed by a bound re-query
 // served from the views. The incremental arm seeds the next fixpoint
-// with exactly the delta; the scratch arm (WithMaterializedScratch)
-// recomputes the full fixpoint every epoch — the before/after pair
-// the ≥5x floor is measured over.
+// with exactly the delta; the scratch arm (the test-only
+// WithMaterializedScratch) recomputes the full fixpoint every epoch —
+// the before/after pair the ≥5x floor is measured over.
 func BenchmarkIncrementalInsert(b *testing.B) {
 	const chains, n = 5000, 20
 	src := tcGrove(chains, n)
@@ -421,7 +418,7 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 					b.Fatalf("bound re-query returned %d rows, want %d", len(rows), n)
 				}
 			}
-			if st := sys.IVMStats(); !st.Scratch && st.ScratchFallbacks != 0 {
+			if st := sys.IVMStats(); mode.name == "incremental" && st.ScratchFallbacks != 0 {
 				b.Fatalf("incremental arm fell back to scratch %d times", st.ScratchFallbacks)
 			}
 		})

@@ -104,7 +104,7 @@ func main() {
 		autoProm  = flag.Duration("auto-promote-after", 0, "follower self-promotes when no leader has answered for this long (0 = never; set on the designated successor only)")
 		rywWait   = flag.Duration("ryw-timeout", 2*time.Second, "max wait for 'QUERY ... wait=<E>' before ERR lagging")
 		advertise = flag.String("advertise", "", "address advertised to followers for write redirects (default -addr)")
-		matMode   = flag.String("materialize", "", "maintain materialized views of the derived predicates: 'incremental' (semi-naive continuation across epochs) or 'scratch' (recompute per epoch; the A/B baseline). Empty disables")
+		matMode   = flag.String("materialize", "", "maintain materialized views of the derived predicates: 'incremental' (semi-naive continuation across epochs). Empty disables")
 	)
 	flag.Parse()
 	if *program == "" {
@@ -136,10 +136,8 @@ func main() {
 	case "":
 	case "incremental":
 		sysOpts = append(sysOpts, ldl.WithMaterialized())
-	case "scratch":
-		sysOpts = append(sysOpts, ldl.WithMaterializedScratch())
 	default:
-		log.Fatalf("ldlserver: -materialize must be 'incremental', 'scratch' or empty, got %q", *matMode)
+		log.Fatalf("ldlserver: -materialize must be 'incremental' or empty, got %q", *matMode)
 	}
 	sys, err := ldl.Load(string(src), sysOpts...)
 	if err != nil {
@@ -167,12 +165,12 @@ func main() {
 		// replication stream; local writes are refused with a redirect.
 		sys.SetReadOnly(*replicaOf)
 		f := &repl.Follower{
-			Target:      *replicaOf,
-			Peers:       splitPeers(*peers),
-			Applied:     sys.Epoch,
-			Apply:       sys.ApplyReplicated,
-			Term:        sys.Term,
-			ObserveTerm: func(t uint64) { sys.ObserveTerm(t) },
+			Target:           *replicaOf,
+			Peers:            splitPeers(*peers),
+			Applied:          sys.Epoch,
+			Apply:            sys.ApplyReplicated,
+			Term:             sys.Term,
+			ObserveTerm:      func(t uint64) { sys.ObserveTerm(t) },
 			AutoPromoteAfter: *autoProm,
 			Promote: func() {
 				// The deadman fired: no writable leader answered for the
@@ -702,11 +700,7 @@ func (s *server) statsLines() []string {
 		add("seg_row_bloom_skips", sg.RowBloomSkips)
 	}
 	if ivm := sys.IVMStats(); ivm.Enabled {
-		mode := "incremental"
-		if ivm.Scratch {
-			mode = "scratch"
-		}
-		add("materialized", mode)
+		add("materialized", "incremental")
 		add("ivm_epochs", ivm.Epochs)
 		add("ivm_incremental_rounds", ivm.IncrementalRounds)
 		add("ivm_scratch_fallbacks", ivm.ScratchFallbacks)

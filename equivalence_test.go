@@ -30,10 +30,9 @@ func TestCorpusCoversExamples(t *testing.T) {
 
 // TestGoldenEquivalence is the kernel acceptance suite: every corpus
 // program (the examples plus the negation/builtin-deferral/complex-
-// term corpora) runs its embedded queries through {generic, tuple,
-// batched} × {sequential, parallel} engines — tuple is the compiled
-// path pinned to batch size 1, batched is the default vectorized
-// executor — and all six answer sets must be byte-identical.
+// term corpora) runs its embedded queries through {generic, batched}
+// × {sequential, parallel} engines — batched is the compiled block
+// executor — and all four answer sets must be byte-identical.
 // EvaluateUnoptimized sorts answers canonically, so equality here
 // really is byte equality.
 func TestGoldenEquivalence(t *testing.T) {
@@ -49,10 +48,8 @@ func TestGoldenEquivalence(t *testing.T) {
 		opts []Option
 	}{
 		{"generic/seq", []Option{WithCompiledKernels(false)}},
-		{"tuple/seq", []Option{WithBatchSize(1)}},
 		{"batched/seq", nil},
 		{"generic/par", []Option{WithCompiledKernels(false), WithParallel(4)}},
-		{"tuple/par", []Option{WithBatchSize(1), WithParallel(4)}},
 		{"batched/par", []Option{WithParallel(4)}},
 	}
 	render := func(rows [][]string) string {
@@ -108,11 +105,11 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestCorpusCounterParity is the vectorized executor's work-accounting
-// acceptance: for every corpus query, generic, tuple-at-a-time and
-// batched execution must report identical logical work counters
-// (tuples, iterations, unifications, lookups) — the batch size is
-// invisible in everything except Blocks and wall clock. It also pins
+// TestCorpusCounterParity is the block executor's work-accounting
+// acceptance: for every corpus query, generic and batched execution
+// must report identical logical work counters (tuples, iterations,
+// unifications, lookups) — the executor is invisible in everything
+// except Blocks and wall clock. It also pins
 // the structured-term programs to the kernel path: their rules must
 // all compile (KernelFallbacks 0), proving complex-term construction
 // and decomposition no longer fall back to the generic interpreter.
@@ -138,10 +135,6 @@ func TestCorpusCounterParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", goal, err)
 				}
-				_, tuple, err := sys.EvaluateUnoptimized(goal, WithBatchSize(1))
-				if err != nil {
-					t.Fatalf("%s: %v", goal, err)
-				}
 				_, batched, err := sys.EvaluateUnoptimized(goal)
 				if err != nil {
 					t.Fatalf("%s: %v", goal, err)
@@ -156,11 +149,8 @@ func TestCorpusCounterParity(t *testing.T) {
 				}
 				// Zero the counters that legitimately differ across
 				// executors before the exact-match compare.
-				for _, es := range []*ExecStats{&generic, &tuple, &batched} {
+				for _, es := range []*ExecStats{&generic, &batched} {
 					es.KernelCompiles, es.KernelFallbacks, es.Blocks = 0, 0, 0
-				}
-				if tuple != generic {
-					t.Errorf("%s: tuple counters diverge: %+v vs generic %+v", goal, tuple, generic)
 				}
 				if batched != generic {
 					t.Errorf("%s: batched counters diverge: %+v vs generic %+v", goal, batched, generic)

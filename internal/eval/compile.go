@@ -18,23 +18,20 @@ package eval
 //   - each negated literal becomes an anti-join membership test, again
 //     placed at its EC point.
 //
-// Execution runs over a flat []term.Term register frame reused across
-// the whole rule application: no substitution maps, no Clone, no
-// ResolveAll, reused probe and match-index buffers, and one reusable
-// head buffer that only pays a copy when a derived tuple is genuinely
-// new. Complex terms compile too: a compound argument with fresh
-// variables becomes a decomposition pattern (kcolPat / kMatch), a
-// compound whose variables are all bound becomes a construction
-// template (kcolBuild) in probes and head positions. Rules the
-// compiler still cannot prove safe for this representation — an "="
-// needing bidirectional unification, a head variable no body literal
-// binds, goals whose EC point never arrives — return nil and fall
-// back to the generic joinBody interpreter, preserving its answers
-// and its error timing exactly.
+// The block executor (block.go) runs these programs over columnar
+// register frames: no substitution maps, no Clone, no ResolveAll.
+// Complex terms compile too: a compound argument with fresh variables
+// becomes a decomposition pattern (kcolPat / kMatch), a compound whose
+// variables are all bound becomes a construction template (kcolBuild)
+// in probes and head positions. Rules the compiler still cannot prove
+// safe for this representation — an "=" needing bidirectional
+// unification, a head variable no body literal binds, goals whose EC
+// point never arrives — return nil and fall back to the generic
+// joinBody interpreter, preserving its answers and its error timing
+// exactly.
 
 import (
 	"ldl/internal/lang"
-	"ldl/internal/store"
 	"ldl/internal/term"
 )
 
@@ -118,50 +115,6 @@ type btmpl struct {
 	args    []btmpl   // compound node arguments
 }
 
-// buildTerm assembles the template's term over the register frame.
-// Registers hold only ground values, so the result is always ground.
-func buildTerm(b *btmpl, regs []term.Term) term.Term {
-	if b.args != nil {
-		out := make([]term.Term, len(b.args))
-		for i := range b.args {
-			out[i] = buildTerm(&b.args[i], regs)
-		}
-		return term.Comp{Functor: b.functor, Args: out}
-	}
-	if b.reg >= 0 {
-		return regs[b.reg]
-	}
-	return b.lit
-}
-
-// matchPat matches a ground value against a pattern template, binding
-// fresh registers. It is the kernels' one-way unification: the value
-// side is ground (it came out of a relation or a bound template), so
-// no occurs check or bidirectional binding is needed.
-func matchPat(p *kpat, v term.Term, regs []term.Term) bool {
-	switch p.kind {
-	case patConst:
-		return term.Equal(p.lit, v)
-	case patProbe:
-		return term.Equal(regs[p.reg], v)
-	case patOut:
-		regs[p.reg] = v
-		return true
-	case patComp:
-		c, ok := v.(term.Comp)
-		if !ok || c.Functor != p.functor || len(c.Args) != len(p.args) {
-			return false
-		}
-		for i, ap := range p.args {
-			if !matchPat(ap, c.Args[i], regs) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // kstepKind discriminates the step variants of a join program.
 type kstepKind uint8
 
@@ -198,16 +151,16 @@ type tmpl struct {
 }
 
 // kstep is one step of a join program. A single struct with per-kind
-// fields keeps the interpreter loop free of interface dispatch.
+// fields keeps the executor loop free of interface dispatch.
 type kstep struct {
 	kind kstepKind
 
 	// kScan
 	tag     string // predicate tag, resolved to a relation per application
-	scanIdx int    // index into kernelState.{rels, probes, idxs}
+	scanIdx int    // index into kernelState's per-scan slices
 	mask    uint32 // probe columns (kcolConst + kcolProbe + kcolBuild)
 	cols    []kcol // per-column behavior, len == literal arity
-	nbound  int    // registers bound before this step (block executor carry)
+	nbound  int    // registers bound before this step, carried into its output frame
 
 	// kTest / kAssign / kMatch
 	test     testOp
@@ -217,7 +170,7 @@ type kstep struct {
 
 	// kNeg
 	negTag  string
-	negIdx  int    // index into kernelState.{negRels, negBufs}
+	negIdx  int    // index into kernelState.{negRels, negIDs}
 	negCols []tmpl // register-or-literal templates only
 }
 
@@ -603,388 +556,4 @@ func anyNewHere(t term.Term, newHere map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-// kernelState is the mutable, reusable execution state for one
-// compiled rule in one evaluation context (one goroutine): the
-// register frame plus every buffer the join program needs, so
-// steady-state rule application allocates nothing. Constant cells of
-// the probe, negation, and head buffers are prefilled here, once.
-type kernelState struct {
-	regs    []term.Term
-	rels    []*store.Relation // per scan, resolved per application
-	probes  []store.Tuple     // per scan, consts prefilled
-	idxs    [][]int32         // per scan, reusable match-index buffers
-	negRels []*store.Relation // per negation, resolved per application
-	negBufs []store.Tuple     // per negation, consts prefilled
-	headBuf store.Tuple       // consts prefilled
-	blk     *blockState       // vectorized executor state, built on demand (block.go)
-}
-
-func newKernelState(cr *compiledRule) *kernelState {
-	ks := &kernelState{
-		regs:    make([]term.Term, cr.nregs),
-		rels:    make([]*store.Relation, cr.nscans),
-		probes:  make([]store.Tuple, cr.nscans),
-		idxs:    make([][]int32, cr.nscans),
-		negRels: make([]*store.Relation, cr.nnegs),
-		negBufs: make([]store.Tuple, cr.nnegs),
-		headBuf: make(store.Tuple, len(cr.head)),
-	}
-	for i := range ks.idxs {
-		// Pre-size the match-index buffers: fixpoint rounds reuse this
-		// state, and starting at a useful capacity avoids the regrow
-		// churn of the first rounds after every reset.
-		ks.idxs[i] = make([]int32, 0, 64)
-	}
-	for _, st := range cr.steps {
-		switch st.kind {
-		case kScan:
-			p := make(store.Tuple, len(st.cols))
-			for i, c := range st.cols {
-				if c.op == kcolConst {
-					p[i] = c.val
-				}
-			}
-			ks.probes[st.scanIdx] = p
-		case kNeg:
-			b := make(store.Tuple, len(st.negCols))
-			for i, tm := range st.negCols {
-				if tm.reg < 0 {
-					b[i] = tm.lit
-				}
-			}
-			ks.negBufs[st.negIdx] = b
-		}
-	}
-	for i, c := range cr.head {
-		if c.op == kcolConst {
-			ks.headBuf[i] = c.val
-		}
-	}
-	return ks
-}
-
-// kstate returns the context's cached kernel state for cr, creating it
-// on first use. Contexts are goroutine-local, so no locking.
-func (cx *evalCtx) kstate(cr *compiledRule) *kernelState {
-	if ks, ok := cx.kstates[cr]; ok {
-		return ks
-	}
-	if cx.kstates == nil {
-		cx.kstates = map[*compiledRule]*kernelState{}
-	}
-	ks := newKernelState(cr)
-	cx.kstates[cr] = ks
-	return ks
-}
-
-// kernelRun bundles the per-application parameters of a join-program
-// execution so the recursive step walk passes a single receiver.
-type kernelRun struct {
-	cx      *evalCtx
-	cr      *compiledRule
-	ks      *kernelState
-	head    *store.Relation
-	headTag string
-	collect func(string, store.Tuple)
-}
-
-// applyCompiled executes a rule's join program — the compiled
-// counterpart of applyRule's generic joinBody walk, with identical
-// counter accounting, governor charging, and emit semantics.
-func (cx *evalCtx) applyCompiled(cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error {
-	e := cx.e
-	ks := cx.kstate(cr)
-	// Resolve each scan's relation: the designated delta occurrence
-	// reads this round's delta, everything else the full relation.
-	for _, st := range cr.steps {
-		switch st.kind {
-		case kScan:
-			ks.rels[st.scanIdx] = e.RelationFor(st.tag)
-		case kNeg:
-			ks.negRels[st.negIdx] = e.RelationFor(st.negTag)
-		}
-	}
-	if deltas != nil && deltaOcc >= 0 && deltaOcc < len(cr.scanForBody) {
-		if si := cr.scanForBody[deltaOcc]; si >= 0 {
-			ks.rels[si] = deltas[cr.steps[cr.scanStep[si]].tag]
-		}
-	}
-	k := kernelRun{
-		cx:      cx,
-		cr:      cr,
-		ks:      ks,
-		head:    e.ensureDerived(cr.rule.Head.Tag(), cr.rule.Head.Arity()),
-		headTag: cr.rule.Head.Tag(),
-		collect: collect,
-	}
-	// Vectorized execution batches a block of probes ahead of the
-	// emits they feed, so it requires that no scan or negation read
-	// the relation being inserted into. Frozen-mode applications
-	// (cx.buf != nil) never insert into a scanned relation; direct-mode
-	// applications qualify unless a body occurrence resolved to the
-	// head relation itself (seed rounds of recursive cliques, naive
-	// re-derivation rounds), which keep the tuple executor's
-	// mid-application visibility.
-	if bs := e.opts.BatchSize; bs > 1 && (cx.buf != nil || !ks.aliasesHead(k.head)) {
-		return k.applyBlocked(bs)
-	}
-	return k.step(0)
-}
-
-// step executes the join program from step si onward; si == len(steps)
-// emits the head tuple.
-func (k *kernelRun) step(si int) error {
-	cx, ks := k.cx, k.ks
-	// Same deadline discipline as joinBody: the join can churn without
-	// deriving anything new, so tick per step frame, not per derivation.
-	if err := cx.e.opts.Gov.Tick(); err != nil {
-		return err
-	}
-	if si == len(k.cr.steps) {
-		return k.emit()
-	}
-	st := &k.cr.steps[si]
-	switch st.kind {
-	case kScan:
-		rel := ks.rels[st.scanIdx]
-		if rel == nil || rel.Len() == 0 {
-			return nil
-		}
-		cx.counters.Lookups++
-		if st.mask == 0 {
-			// Full scan. Capture the length first: in direct mode the
-			// head relation may be the relation being scanned, and emit
-			// appends to it mid-iteration.
-			n := rel.Len()
-			for ti := 0; ti < n; ti++ {
-				if err := k.scanCandidate(si, st, rel.TupleAt(ti)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		probe := ks.probes[st.scanIdx]
-		for i, c := range st.cols {
-			switch c.op {
-			case kcolProbe:
-				probe[i] = ks.regs[c.reg]
-			case kcolBuild:
-				probe[i] = buildTerm(c.bld, ks.regs)
-			}
-		}
-		// AppendMatches collects (and fully verifies) all match indexes
-		// before we touch any candidate, so emit-inserts into the same
-		// relation cannot invalidate the iteration. The buffer is
-		// stored back to keep its grown capacity.
-		idxs := rel.AppendMatches(st.mask, probe, ks.idxs[st.scanIdx][:0])
-		ks.idxs[st.scanIdx] = idxs
-		for _, j := range idxs {
-			if err := k.scanCandidate(si, st, rel.TupleAt(int(j))); err != nil {
-				return err
-			}
-		}
-		return nil
-	case kTest:
-		cx.counters.BuiltinCalls++
-		ok, err := k.evalTest(st)
-		if err != nil || !ok {
-			return err
-		}
-		return k.step(si + 1)
-	case kAssign:
-		cx.counters.BuiltinCalls++
-		v, err := k.resolveNorm(st.rhs)
-		if err != nil {
-			return err
-		}
-		ks.regs[st.dstReg] = v
-		return k.step(si + 1)
-	case kMatch:
-		cx.counters.BuiltinCalls++
-		v, err := k.resolveNorm(st.rhs)
-		if err != nil {
-			return err
-		}
-		if !matchPat(st.pat, v, ks.regs) {
-			return nil
-		}
-		return k.step(si + 1)
-	case kNeg:
-		cx.counters.Lookups++
-		rel := ks.negRels[st.negIdx]
-		if rel == nil {
-			return k.step(si + 1)
-		}
-		buf := ks.negBufs[st.negIdx]
-		for i, tm := range st.negCols {
-			if tm.reg >= 0 {
-				buf[i] = ks.regs[tm.reg]
-			}
-		}
-		if rel.Contains(buf) {
-			return nil
-		}
-		return k.step(si + 1)
-	}
-	return nil
-}
-
-// scanCandidate binds a scan step's output columns from one candidate
-// tuple (probe columns are already verified) and recurses.
-func (k *kernelRun) scanCandidate(si int, st *kstep, t store.Tuple) error {
-	k.cx.counters.Unifications++
-	regs := k.ks.regs
-	for i, c := range st.cols {
-		switch c.op {
-		case kcolOut:
-			regs[c.reg] = t[i]
-		case kcolChk:
-			if !term.Equal(regs[c.reg], t[i]) {
-				return nil
-			}
-		case kcolConst:
-			// Full-scan steps have no probe verification; indexed steps
-			// arrive pre-verified, making this Equal a cheap pointer /
-			// small-value comparison that short-circuits true.
-			if st.mask == 0 && !term.Equal(c.val, t[i]) {
-				return nil
-			}
-		case kcolProbe:
-			if st.mask == 0 && !term.Equal(regs[c.reg], t[i]) {
-				return nil
-			}
-		case kcolPat:
-			if !matchPat(c.pat, t[i], regs) {
-				return nil
-			}
-		case kcolBuild:
-			// Always part of the probe mask, so the candidate arrives
-			// pre-verified against the constructed value.
-		}
-	}
-	return k.step(si + 1)
-}
-
-// evalTest evaluates a comparison step over the register frame.
-func (k *kernelRun) evalTest(st *kstep) (bool, error) {
-	switch st.test {
-	case testEq, testNe:
-		// "=" / "\=" over bound sides: normalize (evaluate a side that
-		// is an arithmetic expression — including one sitting in a
-		// register, e.g. from a fact f(1+2)) and compare structurally,
-		// exactly like lang.EvalBuiltin.
-		lv, err := k.resolveNorm(st.lhs)
-		if err != nil {
-			return false, err
-		}
-		rv, err := k.resolveNorm(st.rhs)
-		if err != nil {
-			return false, err
-		}
-		eq := term.Equal(lv, rv)
-		if st.test == testEq {
-			return eq, nil
-		}
-		return !eq, nil
-	}
-	a, err := k.evalArith(st.lhs)
-	if err != nil {
-		return false, err
-	}
-	b, err := k.evalArith(st.rhs)
-	if err != nil {
-		return false, err
-	}
-	switch st.test {
-	case testLt:
-		return a < b, nil
-	case testLe:
-		return a <= b, nil
-	case testGt:
-		return a > b, nil
-	case testGe:
-		return a >= b, nil
-	}
-	return false, nil
-}
-
-// resolveNorm produces a template's term value with "=" normalization:
-// arithmetic expressions (static or dynamic) evaluate to their integer
-// value, everything else passes through.
-func (k *kernelRun) resolveNorm(t tmpl) (term.Term, error) {
-	if t.args != nil {
-		v, err := k.evalArith(t)
-		return v, err
-	}
-	var v term.Term
-	if t.reg >= 0 {
-		v = k.ks.regs[t.reg]
-	} else {
-		v = t.lit
-	}
-	return lang.NormalizeEqSide(v)
-}
-
-// evalArith evaluates a template as an arithmetic expression over the
-// register frame, without constructing term.Comp nodes for the
-// variable-bearing expressions the compiler broke into sub-templates.
-func (k *kernelRun) evalArith(t tmpl) (term.Int, error) {
-	if t.args == nil {
-		if t.reg >= 0 {
-			return lang.EvalArith(k.ks.regs[t.reg])
-		}
-		return lang.EvalArith(t.lit)
-	}
-	a, err := k.evalArith(t.args[0])
-	if err != nil {
-		return 0, err
-	}
-	if len(t.args) == 1 {
-		return lang.ApplyArith1(t.functor, a)
-	}
-	b, err := k.evalArith(t.args[1])
-	if err != nil {
-		return 0, err
-	}
-	return lang.ApplyArith2(t.functor, a, b)
-}
-
-// emit materializes the head tuple from the register frame into the
-// reusable head buffer and inserts or buffers it — the compiled twin
-// of applyRule's emit closure. The compiler guarantees groundness
-// (registers only ever hold ground values), so no per-arg check.
-func (k *kernelRun) emit() error {
-	cx, ks := k.cx, k.ks
-	for i, c := range k.cr.head {
-		switch c.op {
-		case kcolProbe:
-			ks.headBuf[i] = ks.regs[c.reg]
-		case kcolBuild:
-			ks.headBuf[i] = buildTerm(c.bld, ks.regs)
-		}
-	}
-	t := ks.headBuf
-	if cx.buf != nil {
-		// Frozen mode: dedup against the (stable) head snapshot, buffer
-		// the rest. InsertCopy clones only genuinely new tuples, so the
-		// shared buffer never aliases the reusable frame.
-		if k.head.Contains(t) {
-			return nil
-		}
-		added, err := cx.buf.InsertCopy(t)
-		if err != nil || !added {
-			return err
-		}
-		return cx.recordBuffered()
-	}
-	added, err := k.head.InsertCopy(t)
-	if err != nil {
-		return err
-	}
-	if !added {
-		return nil
-	}
-	return cx.recordInserted(k.headTag, k.head.TupleAt(k.head.Len()-1), k.collect)
 }

@@ -74,17 +74,12 @@ type Options struct {
 	// avoid rehash growth. Missing entries cost nothing.
 	SizeHints map[string]int
 	// DisableKernels turns off the compiled join-kernel path
-	// (compile.go), forcing every rule through the generic joinBody
-	// interpreter. The zero value — kernels on — is the default; the
-	// flag exists for A/B verification and as an escape hatch.
+	// (compile.go, executed block-at-a-time by block.go), forcing every
+	// rule through the generic joinBody interpreter. The zero value —
+	// kernels on — is the default; the flag exists for A/B verification
+	// and as an escape hatch. Answers, errors, and work counters are
+	// identical either way.
 	DisableKernels bool
-	// BatchSize sets the block size of the vectorized kernel executor
-	// (block.go): compiled rules push columnar frames of up to this
-	// many rows through each join step, amortizing probe and dispatch
-	// costs. 0 — the default — selects the tuned default block size;
-	// 1 (or any negative value) forces the tuple-at-a-time executor.
-	// Answers, errors, and work counters are identical in every mode.
-	BatchSize int
 	// Kernels, when non-nil, supplies precompiled join kernels for the
 	// program (built once with CompileProgram over the same *Program
 	// this engine evaluates). The engine then performs zero kernel
@@ -105,6 +100,11 @@ type Options struct {
 	// engine's own runaway backstop. The governor is goroutine-safe, so
 	// one budget governs all parallel workers.
 	Gov *resource.Governor
+
+	// blockSize overrides defaultBlockSize for this package's tests,
+	// whose tiny blocks force the flush-at-capacity path on every
+	// program; 0 selects the default.
+	blockSize int
 }
 
 func (o *Options) norm() {
@@ -117,8 +117,8 @@ func (o *Options) norm() {
 	if o.Parallel < 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if o.BatchSize == 0 {
-		o.BatchSize = DefaultBatchSize
+	if o.blockSize <= 0 {
+		o.blockSize = defaultBlockSize
 	}
 }
 
@@ -140,9 +140,10 @@ type Counters struct {
 	// rule ran compiled. Always zero when kernels are disabled — the
 	// generic path is then chosen, not fallen back to.
 	KernelFallbacks int
-	// Blocks counts columnar frames the vectorized executor dispatched
-	// between join steps (scan outputs flushed downstream). Zero in
-	// tuple-at-a-time and generic modes.
+	// Blocks counts columnar frames the block executor dispatched
+	// between join steps (scan outputs flushed downstream; a scan of the
+	// head relation flushes once per input row). Zero for rules the
+	// generic interpreter runs.
 	Blocks int64
 }
 
@@ -389,7 +390,7 @@ type evalCtx struct {
 	buf  *store.Relation
 	bufN int
 	// kstates caches one reusable kernel execution state per compiled
-	// rule this context has run (register frame, probe and match
+	// rule this context has run (register frames, probe and match
 	// buffers), created lazily by kstate.
 	kstates map[*compiledRule]*kernelState
 }

@@ -108,9 +108,9 @@ var continuationModes = []struct {
 }{
 	{"seq", Options{}},
 	{"seq-generic", Options{DisableKernels: true}},
-	{"seq-batched", Options{BatchSize: 4}},
+	{"seq-batched", Options{blockSize: 4}},
 	{"par", Options{Parallel: 4}},
-	{"par-batched", Options{Parallel: 4, BatchSize: 4}},
+	{"par-batched", Options{Parallel: 4, blockSize: 4}},
 }
 
 func TestIncrementalTCMatchesScratch(t *testing.T) {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"ldl/internal/lang"
-	"ldl/internal/resource"
 	"ldl/internal/store"
 	"ldl/internal/term"
 )
@@ -46,46 +44,11 @@ func (r *Rows) Canonical() []string {
 // Pipelined and materialized nodes produce identical rows (the modes
 // differ in cost, not in semantics), so Eval ignores Mode.
 func Eval(n *Node, db *store.Database) (*Rows, error) {
-	return EvalBudget(n, db, nil)
-}
-
-// EvalBudget is Eval under a resource governor: every node visit and
-// every produced binding is charged, so deadlines, cancellation and
-// tuple budgets cut long-running tree evaluations short with a typed
-// resource error. A nil governor means unlimited.
-func EvalBudget(n *Node, db *store.Database, gov *resource.Governor) (*Rows, error) {
-	return EvalParallel(n, db, gov, 1)
-}
-
-// EvalParallel is EvalBudget with union fan-out: the children of each
-// union node — the branches of a disjunctive definition — evaluate
-// concurrently on up to workers goroutines, their rows concatenated in
-// child order so the result is identical to the sequential one. The
-// governor is goroutine-safe, so one budget covers all branches.
-// workers <= 1 evaluates sequentially.
-func EvalParallel(n *Node, db *store.Database, gov *resource.Governor, workers int) (*Rows, error) {
-	ev := &evaluator{db: db, gov: gov}
-	if workers > 1 {
-		ev.sem = make(chan struct{}, workers)
-	}
-	return ev.evalNode(n, []term.Subst{term.NewSubst()})
-}
-
-// evaluator carries the evaluation environment down the tree: the
-// database (read-only), the shared governor, and — when union fan-out
-// is enabled — the semaphore bounding total evaluation goroutines.
-type evaluator struct {
-	db  *store.Database
-	gov *resource.Governor
-	sem chan struct{}
+	return evalNode(n, db, []term.Subst{term.NewSubst()})
 }
 
 // evalNode evaluates n once per incoming binding, concatenating results.
-func (ev *evaluator) evalNode(n *Node, in []term.Subst) (*Rows, error) {
-	db, gov := ev.db, ev.gov
-	if err := gov.Tick(); err != nil {
-		return nil, err
-	}
+func evalNode(n *Node, db *store.Database, in []term.Subst) (*Rows, error) {
 	var out []term.Subst
 	switch n.Kind {
 	case KindScan:
@@ -94,16 +57,11 @@ func (ev *evaluator) evalNode(n *Node, in []term.Subst) (*Rows, error) {
 			break
 		}
 		// The probe tuple and match-index buffer are hoisted out of the
-		// per-binding loop (and kept off the shared evaluator — union
-		// branches evaluate concurrently): one allocation each per scan
-		// node, reused across all incoming bindings instead of Scan's
-		// per-call buffer.
+		// per-binding loop: one allocation each per scan node, reused
+		// across all incoming bindings instead of Scan's per-call buffer.
 		probe := make(store.Tuple, len(n.Lit.Args))
 		var idxBuf []int32
 		consume := func(s term.Subst, resolved []term.Term, t store.Tuple) error {
-			if err := gov.Tick(); err != nil {
-				return err
-			}
 			s2, ok := term.UnifyAll(resolved, []term.Term(t), s.Clone())
 			if !ok {
 				return nil
@@ -113,9 +71,6 @@ func (ev *evaluator) evalNode(n *Node, in []term.Subst) (*Rows, error) {
 				return err
 			}
 			if keep {
-				if err := gov.AddTuples(1); err != nil {
-					return err
-				}
 				out = append(out, s2)
 			}
 			return nil
@@ -170,9 +125,6 @@ func (ev *evaluator) evalNode(n *Node, in []term.Subst) (*Rows, error) {
 		// them (mirroring the engine's runtime reordering safety net).
 		var joinRows func(idx int, s term.Subst, pending []*Node) error
 		joinRows = func(idx int, s term.Subst, pending []*Node) error {
-			if err := gov.Tick(); err != nil {
-				return err
-			}
 			for pi := 0; pi < len(pending); pi++ {
 				if !builtinReady(pending[pi].Lit, s) {
 					continue
@@ -197,9 +149,6 @@ func (ev *evaluator) evalNode(n *Node, in []term.Subst) (*Rows, error) {
 					return err
 				}
 				if keep {
-					if err := gov.AddTuples(1); err != nil {
-						return err
-					}
 					out = append(out, s)
 				}
 				return nil
@@ -208,7 +157,7 @@ func (ev *evaluator) evalNode(n *Node, in []term.Subst) (*Rows, error) {
 			if k.Kind == KindBuiltin && !builtinReady(k.Lit, s) {
 				return joinRows(idx+1, s, append(pending, k))
 			}
-			r, err := ev.evalNode(k, []term.Subst{s})
+			r, err := evalNode(k, db, []term.Subst{s})
 			if err != nil {
 				return err
 			}
@@ -225,48 +174,12 @@ func (ev *evaluator) evalNode(n *Node, in []term.Subst) (*Rows, error) {
 			}
 		}
 	case KindUnion:
-		kidRows := make([]*Rows, len(n.Kids))
-		kidErrs := make([]error, len(n.Kids))
-		if ev.sem != nil && len(n.Kids) > 1 {
-			// Branch fan-out: children read the shared database and
-			// charge the shared governor, both goroutine-safe; each child
-			// writes only its own slot. Concatenation below stays in
-			// child order, so the fan-out is invisible in the result. The
-			// semaphore acquire is non-blocking with inline evaluation as
-			// the fallback — a goroutine never waits for a slot while
-			// holding one, so nested unions cannot deadlock the pool.
-			var wg sync.WaitGroup
-			for i, k := range n.Kids {
-				select {
-				case ev.sem <- struct{}{}:
-					wg.Add(1)
-					go func(i int, k *Node) {
-						defer wg.Done()
-						defer func() { <-ev.sem }()
-						kidRows[i], kidErrs[i] = ev.evalNode(k, in)
-					}(i, k)
-				default:
-					kidRows[i], kidErrs[i] = ev.evalNode(k, in)
-				}
-			}
-			wg.Wait()
-		} else {
-			for i, k := range n.Kids {
-				kidRows[i], kidErrs[i] = ev.evalNode(k, in)
-				if kidErrs[i] != nil {
-					break
-				}
-			}
-		}
-		for _, err := range kidErrs {
+		for _, k := range n.Kids {
+			r, err := evalNode(k, db, in)
 			if err != nil {
 				return nil, err
 			}
-		}
-		for _, r := range kidRows {
-			if r != nil {
-				out = append(out, r.Data...)
-			}
+			out = append(out, r.Data...)
 		}
 		kept := out[:0]
 		for _, s := range out {

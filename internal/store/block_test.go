@@ -107,8 +107,8 @@ func TestBlockAppendMatchesID(t *testing.T) {
 }
 
 // TestBlockInsertRows: columnar bulk insert dedups row-by-row against
-// existing contents and itself, fires onNew in insertion order, and an
-// onNew error stops the batch.
+// existing contents and itself, fires onNew in insertion order, and
+// stores copies, never the caller's column scratch.
 func TestBlockInsertRows(t *testing.T) {
 	r := NewRelation("p", 2)
 	r.MustInsert(tup(5, 5))
@@ -131,5 +131,11 @@ func TestBlockInsertRows(t *testing.T) {
 	}
 	if r.Len() != 3 || !r.Contains(tup(2, 2)) {
 		t.Fatalf("relation contents wrong: len=%d", r.Len())
+	}
+	// Callers reuse their column scratch for the next block, so stored
+	// rows must not alias it.
+	cols[0][3], cols[1][3] = ids(9)[0], ids(9)[0]
+	if !r.Contains(tup(2, 2)) || r.Contains(tup(9, 9)) {
+		t.Error("stored row aliases the caller's column scratch")
 	}
 }

@@ -5,10 +5,9 @@ package store
 // Build with -tags ldldebug to verify, on every insert, the invariant
 // the engine's sharing discipline rests on: only ground, interned terms
 // enter a relation, and interning is stable (re-interning an admitted
-// term yields the same ID). Tuple.Clone copies only slice headers and
-// relations hand out borrowed views precisely because stored terms are
-// immutable; this mode catches any violation at the door instead of as
-// a corrupted set far downstream.
+// term yields the same ID). Relations hand out borrowed views precisely
+// because stored terms are immutable; this mode catches any violation
+// at the door instead of as a corrupted set far downstream.
 
 import (
 	"fmt"

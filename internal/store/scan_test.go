@@ -110,28 +110,6 @@ func TestScanInsertDuringYield(t *testing.T) {
 	}
 }
 
-func TestInsertCopyDoesNotAlias(t *testing.T) {
-	r := NewRelation("n", 2)
-	buf := make(Tuple, 2)
-	buf[0], buf[1] = term.Int(1), term.Int(2)
-	if added, err := r.InsertCopy(buf); err != nil || !added {
-		t.Fatalf("InsertCopy: added=%v err=%v", added, err)
-	}
-	// Mutating the caller's buffer must not corrupt the stored tuple.
-	buf[0], buf[1] = term.Int(9), term.Int(9)
-	if !r.Contains(tup(1, 2)) {
-		t.Error("stored tuple aliased the caller's buffer")
-	}
-	if r.Contains(tup(9, 9)) {
-		t.Error("mutated buffer visible in relation")
-	}
-	// Duplicate insert through the same buffer: no copy, not added.
-	buf[0], buf[1] = term.Int(1), term.Int(2)
-	if added, _ := r.InsertCopy(buf); added {
-		t.Error("duplicate InsertCopy reported added")
-	}
-}
-
 // TestDistinctCache checks the cached counts stay exact across the
 // build → insert → recount sequence, for Insert and InsertFrom.
 func TestDistinctCache(t *testing.T) {

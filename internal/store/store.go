@@ -13,7 +13,7 @@
 // readers (Contains, Lookup, Scan, AppendMatches, Tuples, TupleAt,
 // Snapshot, Sorted, Distinct) — including the lazy index and
 // distinct-count builds inside Lookup/Scan/Distinct, which publish
-// atomically — but writers (Insert, InsertCopy, InsertFrom,
+// atomically — but writers (Insert, InsertFrom, InsertIDs,
 // BuildIndex) must be externally serialized and must not run
 // concurrently with readers of the same relation. The parallel
 // evaluator relies on exactly this: relations are frozen while worker
@@ -66,16 +66,6 @@ func (t Tuple) String() string {
 		parts[i] = x.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Clone returns an independent copy of the tuple slice header. The
-// terms themselves are immutable and shared — an invariant Insert
-// enforces by admitting only ground, interned terms (see the ldldebug
-// build tag for the paranoid verification mode).
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
 }
 
 // hashSeed is the initial row-hash value (golden-ratio constant).
@@ -353,18 +343,6 @@ func (r *Relation) growSet() {
 // The relation retains t's backing array; callers must not mutate it
 // afterwards.
 func (r *Relation) Insert(t Tuple) (bool, error) {
-	return r.insert(t, false)
-}
-
-// InsertCopy is Insert for callers that reuse t's backing array (the
-// compiled kernels' head buffer): the relation stores an independent
-// copy, and only pays for it when the tuple is actually new —
-// duplicate derivations stay allocation-free.
-func (r *Relation) InsertCopy(t Tuple) (bool, error) {
-	return r.insert(t, true)
-}
-
-func (r *Relation) insert(t Tuple, copyOnAdd bool) (bool, error) {
 	if len(t) != r.Arity {
 		return false, fmt.Errorf("store: %s: inserting arity %d tuple into arity %d relation", r.Name, len(t), r.Arity)
 	}
@@ -381,9 +359,6 @@ func (r *Relation) insert(t Tuple, copyOnAdd bool) (bool, error) {
 	debugCheckInsert(r, t, r.scratch)
 	if r.findByIDs(h, r.scratch) >= 0 {
 		return false, nil
-	}
-	if copyOnAdd {
-		t = t.Clone()
 	}
 	r.appendRow(t, r.scratch, h)
 	return true, nil

@@ -34,11 +34,6 @@ func TestTupleKeyAndString(t *testing.T) {
 	if a.KeyOn(0b01) == a.KeyOn(0b10) {
 		t.Error("KeyOn ignores column selection")
 	}
-	cl := a.Clone()
-	cl[0] = term.Int(9)
-	if !term.Equal(a[0], term.Int(1)) {
-		t.Error("Clone shares storage")
-	}
 }
 
 func TestRelationInsertDedup(t *testing.T) {

@@ -554,7 +554,6 @@ type options struct {
 	flatten   bool
 	parallel  int
 	noKernels bool
-	batch     int
 
 	// Resource governor configuration. Zero values mean "no limit";
 	// with everything zero no governor is built and the hot paths pay
@@ -637,23 +636,6 @@ func WithParallel(n int) Option { return func(o *options) { o.parallel = n } }
 // automatically use the generic interpreter. Answers are identical
 // either way; WithCompiledKernels(false) is the A/B escape hatch.
 func WithCompiledKernels(on bool) Option { return func(o *options) { o.noKernels = !on } }
-
-// WithBatchSize sets the block size of the vectorized kernel executor
-// (default 256 rows). Compiled join programs process a columnar frame
-// of up to n delta rows per step — probes, comparisons and head
-// insertion run as tight loops over dense interned-ID columns instead
-// of one register frame at a time. n = 1 restores tuple-at-a-time
-// execution; answers, errors and work counters are identical at every
-// size, so the flag is a pure performance knob (and the A/B escape
-// hatch for the vectorized path).
-func WithBatchSize(n int) Option {
-	return func(o *options) {
-		if n < 1 {
-			n = 1
-		}
-		o.batch = n
-	}
-}
 
 // WithFlattening enables the §8.3 rescue: when a query form has no
 // safe execution, non-recursive single-rule predicates are unfolded
@@ -758,8 +740,8 @@ type ExecStats struct {
 	// exposes exactly which executions paid the generic path.
 	KernelFallbacks int
 	// Blocks counts columnar frames dispatched between steps by the
-	// vectorized executor; 0 means every application ran
-	// tuple-at-a-time (batch size 1, or head-aliasing applications).
+	// compiled block executor; 0 means no compiled rule ran (kernels
+	// disabled, or every rule fell back to the generic interpreter).
 	Blocks int64
 	// Epoch identifies the fact-base snapshot the execution ran
 	// against.
@@ -801,7 +783,6 @@ func (p *Plan) ExecuteStats() (_ [][]string, es ExecStats, err error) {
 		MaxTuples: 5_000_000, MaxIterations: 200_000,
 		Parallel: p.opts.parallel, SizeHints: p.epoch.hints,
 		DisableKernels: p.opts.noKernels,
-		BatchSize:      p.opts.batch,
 		Gov:            p.opts.governor(),
 	})
 	if err != nil {
@@ -926,8 +907,7 @@ func (s *System) EvaluateUnoptimized(goal string, opts ...Option) (_ [][]string,
 	e, err := eval.New(s.prog, ep.db, eval.Options{
 		Method: eval.SemiNaive, Parallel: o.parallel,
 		SizeHints: ep.hints, DisableKernels: o.noKernels,
-		BatchSize: o.batch,
-		Gov:       o.governor(),
+		Gov: o.governor(),
 	})
 	if err != nil {
 		return nil, es, err

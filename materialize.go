@@ -17,9 +17,10 @@ package ldl
 // discipline makes this sound for the monotone fragment; strata that
 // read a changed relation through negation are recomputed from scratch
 // per-stratum (detected via the dependency graph), so answers are never
-// silently stale. WithMaterializedScratch maintains the same views by
-// full recomputation on every epoch — the A/B baseline the incremental
-// path is benchmarked and equivalence-tested against.
+// silently stale. A scratch mode, reachable only from this package's
+// tests, maintains the same views by full recomputation on every epoch
+// — the reference arm the incremental path is benchmarked and
+// equivalence-tested against.
 //
 // Watermarks: because relations only ever append, the state of a base
 // relation at materialization time is just its row count. The epoch's
@@ -43,8 +44,8 @@ import (
 // matConfig is the Load-time materialization configuration.
 type matConfig struct {
 	enabled bool
-	scratch bool    // recompute every epoch instead of continuing (A/B baseline)
-	o       options // evaluation knobs for maintenance (parallel, kernels, batch)
+	scratch bool    // recompute every epoch instead of continuing (test reference arm)
+	o       options // evaluation knobs for maintenance (parallel, kernels)
 }
 
 // matState is the materialized side of one epoch: the derived
@@ -70,27 +71,12 @@ type ivmCounters struct {
 
 // WithMaterialized makes the System maintain materialized views of
 // every derived predicate, incrementally across epochs. opts configures
-// the maintenance evaluation itself (WithParallel, WithCompiledKernels,
-// WithBatchSize); answer-affecting options are ignored. Queries can
-// then be served straight from the views with AnswersFromViews.
+// the maintenance evaluation itself (WithParallel, WithCompiledKernels);
+// answer-affecting options are ignored. Queries can then be served
+// straight from the views with AnswersFromViews.
 func WithMaterialized(opts ...Option) SystemOption {
 	return func(c *sysConfig) {
 		c.mat.enabled = true
-		for _, f := range opts {
-			f(&c.mat.o)
-		}
-	}
-}
-
-// WithMaterializedScratch maintains the same views as WithMaterialized
-// but recomputes them from an empty fixpoint on every epoch — the
-// scratch baseline the incremental path is measured against, and the
-// reference arm of the equivalence tests. Production systems want
-// WithMaterialized.
-func WithMaterializedScratch(opts ...Option) SystemOption {
-	return func(c *sysConfig) {
-		c.mat.enabled = true
-		c.mat.scratch = true
 		for _, f := range opts {
 			f(&c.mat.o)
 		}
@@ -125,7 +111,6 @@ func (s *System) matEngine(ep *epochState) (*eval.Engine, error) {
 		Parallel:       s.matCfg.o.parallel,
 		SizeHints:      ep.hints,
 		DisableKernels: s.matCfg.o.noKernels,
-		BatchSize:      s.matCfg.o.batch,
 		Graph:          s.matGraph,
 		Kernels:        s.matKern,
 	})
@@ -288,8 +273,6 @@ type IVMStats struct {
 	// Enabled reports whether the System materializes views at all; the
 	// other fields are zero when it does not.
 	Enabled bool
-	// Scratch reports the WithMaterializedScratch baseline mode.
-	Scratch bool
 	// Epochs counts successfully materialized epochs (including boot).
 	Epochs int64
 	// IncrementalRounds counts in-clique fixpoint rounds run by epoch
@@ -297,7 +280,7 @@ type IVMStats struct {
 	IncrementalRounds int64
 	// ScratchFallbacks counts per-stratum scratch recomputations:
 	// negation over a changed stratum, maintenance degrades, and (in
-	// scratch mode) every maintenance pass.
+	// the test-only scratch mode) every maintenance pass.
 	ScratchFallbacks int64
 	// DeltaRows is the cumulative size of all epoch deltas (appended
 	// base rows + newly derived rows); LastDeltaRows is the newest
@@ -312,7 +295,6 @@ type IVMStats struct {
 func (s *System) IVMStats() IVMStats {
 	return IVMStats{
 		Enabled:           s.matCfg.enabled,
-		Scratch:           s.matCfg.scratch,
 		Epochs:            s.ivm.epochs.Load(),
 		IncrementalRounds: s.ivm.rounds.Load(),
 		ScratchFallbacks:  s.ivm.scratchFB.Load(),

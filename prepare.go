@@ -517,7 +517,6 @@ func (p *Prepared) ExecuteStats(goal string, opts ...Option) (_ [][]string, es E
 		MaxTuples: 5_000_000, MaxIterations: 200_000,
 		Parallel: o.parallel, SizeHints: ep.hints,
 		DisableKernels: o.noKernels,
-		BatchSize:      o.batch,
 		Gov:            o.governor(),
 		Kernels:        p.kernels, Graph: p.graph,
 	})

@@ -241,10 +241,8 @@ func TestStorageGoldenEquivalence(t *testing.T) {
 		opts []Option
 	}{
 		{"generic/seq", []Option{WithCompiledKernels(false)}},
-		{"tuple/seq", []Option{WithBatchSize(1)}},
 		{"batched/seq", nil},
 		{"generic/par", []Option{WithCompiledKernels(false), WithParallel(4)}},
-		{"tuple/par", []Option{WithBatchSize(1), WithParallel(4)}},
 		{"batched/par", []Option{WithParallel(4)}},
 	}
 	render := func(rows [][]string) string {

@@ -100,14 +100,13 @@ func TestSharedDatabaseStress(t *testing.T) {
 					got, _, err = sys.EvaluateUnoptimized("tc(1, Y)", WithParallel(4), WithCompiledKernels(false))
 					want = wantTC
 				case 6:
-					// Tuple-at-a-time kernels (the default is batched;
-					// this arm pins the vectorized path off).
-					got, _, err = sys.EvaluateUnoptimized("tc(1, Y)", WithBatchSize(1))
-					want = wantTC
+					// Compiled kernels on sg, sequential and parallel
+					// (the tiny-block arms live in internal/eval's
+					// TestKernelEquivalence).
+					got, _, err = sys.EvaluateUnoptimized("sg(a, Y)")
+					want = wantSG
 				case 7:
-					// Vectorized kernels with a tiny block, parallel:
-					// maximizes flush-boundary crossings under -race.
-					got, _, err = sys.EvaluateUnoptimized("sg(a, Y)", WithParallel(4), WithBatchSize(4))
+					got, _, err = sys.EvaluateUnoptimized("sg(a, Y)", WithParallel(4))
 					want = wantSG
 				case 8:
 					// Serve from the materialized views while other
